@@ -1,0 +1,8 @@
+"""Self-tests of the benchmark: ``python3 -m pytest perfbench/tests -q``."""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(PERFBENCH))
+sys.path.insert(0, str(PERFBENCH.parent / "src"))
